@@ -9,6 +9,12 @@ cargo build --release
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+# perfbench/ is a separate Cargo workspace with path deps on the crates, so
+# the workspace build above does not compile it; an API change that breaks
+# the benchmark must fail here rather than at benchmark time.
+echo "==> cargo test --manifest-path perfbench/Cargo.toml (benchmark builds, generator tests)"
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

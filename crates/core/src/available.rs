@@ -4,7 +4,7 @@
 use crate::error::CoreError;
 use crate::flow::Flow;
 use crate::schedule::Schedule;
-use awb_lp::{Direction, Problem, Relation};
+use awb_lp::{Direction, Problem, Relation, VarId};
 use awb_net::{LinkId, LinkRateModel, Path};
 use awb_sets::{EnumerationOptions, RatedSet};
 
@@ -306,12 +306,7 @@ pub(crate) fn solve_decomposed_with_pools(
     let f = lp.add_var("f", 1.0);
     let lambdas: Vec<Vec<_>> = pools
         .iter()
-        .enumerate()
-        .map(|(ci, pool)| {
-            (0..pool.len())
-                .map(|i| lp.add_var(format!("l{ci}_{i}"), 0.0))
-                .collect()
-        })
+        .map(|pool| pool.iter().map(|_| lp.add_var("", 0.0)).collect())
         .collect();
     let mut constraint_index = 0usize;
     let mut budget_rows = Vec::new();
@@ -326,15 +321,11 @@ pub(crate) fn solve_decomposed_with_pools(
     }
     let mut link_rows = vec![usize::MAX; universe.len()];
     for (ci, component) in components.iter().enumerate() {
-        for &link in component {
+        let rows = delivery_terms(pools[ci], &lambdas[ci], component);
+        for (&link, mut terms) in component.iter().zip(rows) {
             let idx = universe
                 .binary_search(&link)
                 .map_err(|_| CoreError::Invariant("component is a subset of the universe"))?;
-            let mut terms: Vec<_> = pools[ci]
-                .iter()
-                .zip(&lambdas[ci])
-                .filter_map(|(set, &var)| set.rate_of(link).map(|r| (var, r.as_mbps())))
-                .collect();
             if new_path.contains(link) {
                 terms.push((f, -1.0));
             }
@@ -428,6 +419,29 @@ pub fn available_bandwidth_with_sets(
     solve_over_sets(sets, &universe, &demand, new_path, options.dust_epsilon)
 }
 
+/// The `λ_α R_α[e]` terms of the Eq. 6 delivery row of each link of the
+/// sorted `links`, built in one pass over the pool's couples. Sets are
+/// visited in pool order, so every row lists its terms exactly as a per-link
+/// scan of the pool would; couples on links outside `links` are ignored.
+///
+/// The λ columns are left unnamed by callers: answers read them by handle,
+/// and a formatted name per column would be built and cloned on every solve.
+fn delivery_terms(
+    pool: &[RatedSet],
+    lambdas: &[VarId],
+    links: &[LinkId],
+) -> Vec<Vec<(VarId, f64)>> {
+    let mut rows = vec![Vec::new(); links.len()];
+    for (set, &var) in pool.iter().zip(lambdas) {
+        for &(link, rate) in set.couples() {
+            if let Ok(i) = links.binary_search(&link) {
+                rows[i].push((var, rate.as_mbps()));
+            }
+        }
+    }
+    rows
+}
+
 /// The single-component Eq. 6 LP over a prepared pool and demand vector —
 /// the common kernel of the enumeration solve path and the warm session
 /// query path.
@@ -440,21 +454,15 @@ pub(crate) fn solve_over_sets(
 ) -> Result<AvailableBandwidth, CoreError> {
     let mut lp = Problem::new(Direction::Maximize);
     let f = lp.add_var("f", 1.0);
-    let lambdas: Vec<_> = (0..sets.len())
-        .map(|i| lp.add_var(format!("lambda{i}"), 0.0))
-        .collect();
+    let lambdas: Vec<_> = sets.iter().map(|_| lp.add_var("", 0.0)).collect();
 
     // Σ λ_α ≤ 1.
     let budget: Vec<_> = lambdas.iter().map(|&v| (v, 1.0)).collect();
     lp.add_constraint(&budget, Relation::Le, 1.0)?;
 
     // Per link: Σ_α λ_α R_α[e] − f·I_e(new) ≥ Σ_k x_k I_e(P_k).
-    for (idx, &link) in universe.iter().enumerate() {
-        let mut terms: Vec<_> = sets
-            .iter()
-            .zip(&lambdas)
-            .filter_map(|(set, &var)| set.rate_of(link).map(|r| (var, r.as_mbps())))
-            .collect();
+    let rows = delivery_terms(sets, &lambdas, universe);
+    for (idx, (&link, mut terms)) in universe.iter().zip(rows).enumerate() {
         if new_path.contains(link) {
             terms.push((f, -1.0));
         }

@@ -62,6 +62,10 @@ struct Tableau {
     tol: f64,
     /// Scratch copy of the pivot row, reused across pivots.
     scratch: Vec<f64>,
+    /// Pricing scratch, reused across iterations: the reduced cost of every
+    /// column, and which columns are basic.
+    reduced: Vec<f64>,
+    is_basic: Vec<bool>,
 }
 
 impl Tableau {
@@ -121,6 +125,67 @@ impl Tableau {
         }
     }
 
+    /// Pricing: the entering column among the nonbasic columns of
+    /// `0..main_cols` and `extra` — the first with a reduced cost below
+    /// `-tol` under Bland's rule, else the most negative (first on ties) —
+    /// or `None` at optimality.
+    ///
+    /// Reduced costs `r_j = c_j - sum_i c_B(i) * T[i][j]` are swept row by
+    /// row: `r_j -= mu_i * T[i][j]` for ascending `i`, skipping zero
+    /// multipliers. Every column therefore sees the same subtraction
+    /// sequence as a per-column loop, so the values are bit-identical to it,
+    /// while the tableau is read along its rows instead of striding down
+    /// columns.
+    fn entering(
+        &mut self,
+        cost: &[f64],
+        main_cols: usize,
+        extra: Range<usize>,
+        use_bland: bool,
+        tol: f64,
+    ) -> Option<usize> {
+        self.is_basic.clear();
+        self.is_basic.resize(self.cols, false);
+        for &b in &self.basis {
+            self.is_basic[b] = true;
+        }
+        self.reduced.clear();
+        self.reduced
+            .extend((0..self.cols).map(|j| cost.get(j).copied().unwrap_or(0.0)));
+        for (i, &b) in self.basis.iter().enumerate() {
+            let mu = cost.get(b).copied().unwrap_or(0.0);
+            // awb-audit: allow(no-float-eq) — exact-zero sparsity skip; a tolerance
+            // here would silently drop small-but-real dual contributions.
+            if mu == 0.0 {
+                continue;
+            }
+            let row = &self.data[i * self.stride..i * self.stride + self.cols];
+            for range in [0..main_cols, extra.clone()] {
+                for (r, &a) in self.reduced[range.clone()].iter_mut().zip(&row[range]) {
+                    *r -= mu * a;
+                }
+            }
+        }
+        let mut entering: Option<(usize, f64)> = None;
+        for j in (0..main_cols).chain(extra) {
+            if self.is_basic[j] {
+                continue;
+            }
+            let rc = self.reduced[j];
+            if rc < -tol {
+                if use_bland {
+                    return Some(j);
+                }
+                match entering {
+                    None => entering = Some((j, rc)),
+                    Some((_, best)) if rc < best => entering = Some((j, rc)),
+                    _ => {}
+                }
+            }
+        }
+        entering.map(|(j, _)| j)
+    }
+
     /// Ratio test: returns the leaving row for `entering`, or `None` if the
     /// column is non-positive (unbounded direction). Ties are broken by the
     /// smallest basic variable index (lexicographic/Bland-compatible).
@@ -169,6 +234,9 @@ impl Tableau {
     }
 }
 
+/// A pricing kernel: see [`Tableau::entering`].
+type PriceFn = fn(&mut Tableau, &[f64], usize, Range<usize>, bool, f64) -> Option<usize>;
+
 /// Runs simplex iterations to optimality for the *minimization* objective
 /// `cost`, given a starting basic feasible solution already in `t`. Columns
 /// `0..main_cols` and `extra` (appended columns living past the artificial
@@ -188,50 +256,26 @@ fn optimize(
     let limit = options.max_iterations.unwrap_or(2_000 + 200 * (m + priced));
     // Reduced-cost row maintained incrementally would be faster; recomputing
     // from the basis keeps the code simple and numerically self-correcting.
+    // Unit tests may swap in the column-wise oracle kernel.
+    #[cfg(not(test))]
+    let price: PriceFn = Tableau::entering;
+    #[cfg(test)]
+    let price = tests::kernel();
+    let tol = options.tolerance;
     let mut degenerate_streak = 0usize;
     for pivots in 0..limit {
-        // Price: r_j = c_j - sum_i c_B(i) * T[i][j]
-        let mut multipliers = vec![0.0; m];
-        for (i, &b) in t.basis.iter().enumerate() {
-            multipliers[i] = cost.get(b).copied().unwrap_or(0.0);
-        }
         let use_bland = match options.pricing {
             Pricing::Bland => true,
             Pricing::Dantzig => false,
             Pricing::Auto => degenerate_streak >= DEGENERATE_STREAK_LIMIT,
         };
-        let mut entering: Option<(usize, f64)> = None;
-        for j in (0..main_cols).chain(extra.clone()) {
-            if t.basis.contains(&j) {
-                continue;
-            }
-            let mut rc = cost.get(j).copied().unwrap_or(0.0);
-            for (i, mu) in multipliers.iter().enumerate() {
-                // awb-audit: allow(no-float-eq) — exact-zero sparsity skip; a tolerance
-                // here would silently drop small-but-real dual contributions.
-                if *mu != 0.0 {
-                    rc -= mu * t.at(i, j);
-                }
-            }
-            if rc < -options.tolerance {
-                if use_bland {
-                    entering = Some((j, rc));
-                    break;
-                }
-                match entering {
-                    None => entering = Some((j, rc)),
-                    Some((_, best)) if rc < best => entering = Some((j, rc)),
-                    _ => {}
-                }
-            }
-        }
-        let Some((col, _)) = entering else {
+        let Some(col) = price(t, cost, main_cols, extra.clone(), use_bland, tol) else {
             return Ok(pivots); // optimal
         };
         let Some(row) = t.leaving_row(col) else {
             return Err(SolveError::Unbounded);
         };
-        if t.rhs(row).abs() <= options.tolerance {
+        if t.rhs(row).abs() <= tol {
             degenerate_streak += 1;
         } else {
             degenerate_streak = 0;
@@ -357,6 +401,8 @@ impl Instance {
                 cols,
                 tol: options.tolerance,
                 scratch: Vec::new(),
+                reduced: Vec::new(),
+                is_basic: Vec::new(),
             },
             flips: plans.iter().map(|&(flip, _)| flip).collect(),
             identity_col,
@@ -605,10 +651,270 @@ mod invariants {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::problem::{Direction, Problem, Relation};
+    use crate::incremental::IncrementalSolver;
+    use crate::problem::{Direction, Problem, Relation, VarId};
+    use proptest::prelude::*;
+    use std::cell::Cell;
 
     fn approx(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-7, "{a} != {b}");
+    }
+
+    thread_local! {
+        /// The pricing kernel this thread's solves run.
+        static KERNEL: Cell<PriceFn> = const { Cell::new(Tableau::entering) };
+    }
+
+    pub(super) fn kernel() -> PriceFn {
+        KERNEL.with(Cell::get)
+    }
+
+    /// Runs `f` with this thread's solves priced by `kernel`.
+    fn with_kernel<T>(kernel: PriceFn, f: impl FnOnce() -> T) -> T {
+        let previous = KERNEL.with(|k| k.replace(kernel));
+        let out = f();
+        KERNEL.with(|k| k.set(previous));
+        out
+    }
+
+    /// Reduced costs `(j, r_j)` of the nonbasic priced columns, computed
+    /// column by column as the pricing loop did before the row-major
+    /// [`Tableau::entering`].
+    fn reduced_columnwise(
+        t: &Tableau,
+        cost: &[f64],
+        main_cols: usize,
+        extra: Range<usize>,
+    ) -> Vec<(usize, f64)> {
+        let mut multipliers = vec![0.0; t.num_rows()];
+        for (i, &b) in t.basis.iter().enumerate() {
+            multipliers[i] = cost.get(b).copied().unwrap_or(0.0);
+        }
+        (0..main_cols)
+            .chain(extra)
+            .filter(|j| !t.basis.contains(j))
+            .map(|j| {
+                let mut rc = cost.get(j).copied().unwrap_or(0.0);
+                for (i, mu) in multipliers.iter().enumerate() {
+                    // awb-audit: allow(no-float-eq) — exact-zero sparsity skip, as in
+                    // the production kernel this oracle is diffed against.
+                    if *mu != 0.0 {
+                        rc -= mu * t.at(i, j);
+                    }
+                }
+                (j, rc)
+            })
+            .collect()
+    }
+
+    /// The column-wise pricing kernel, kept as the oracle of
+    /// [`Tableau::entering`].
+    fn entering_columnwise(
+        t: &mut Tableau,
+        cost: &[f64],
+        main_cols: usize,
+        extra: Range<usize>,
+        use_bland: bool,
+        tol: f64,
+    ) -> Option<usize> {
+        let mut entering: Option<(usize, f64)> = None;
+        for (j, rc) in reduced_columnwise(t, cost, main_cols, extra) {
+            if rc < -tol {
+                if use_bland {
+                    entering = Some((j, rc));
+                    break;
+                }
+                match entering {
+                    None => entering = Some((j, rc)),
+                    Some((_, best)) if rc < best => entering = Some((j, rc)),
+                    _ => {}
+                }
+            }
+        }
+        entering.map(|(j, _)| j)
+    }
+
+    /// Prices every iteration with both kernels on the same tableau and
+    /// panics unless each reduced cost matches bit for bit and the entering
+    /// columns agree — a reduced-cost difference too small to change any
+    /// pivot still fails here.
+    fn entering_checked(
+        t: &mut Tableau,
+        cost: &[f64],
+        main_cols: usize,
+        extra: Range<usize>,
+        use_bland: bool,
+        tol: f64,
+    ) -> Option<usize> {
+        let expected = entering_columnwise(t, cost, main_cols, extra.clone(), use_bland, tol);
+        let reference = reduced_columnwise(t, cost, main_cols, extra.clone());
+        let got = t.entering(cost, main_cols, extra, use_bland, tol);
+        for (j, rc) in reference {
+            assert_eq!(t.reduced[j].to_bits(), rc.to_bits(), "reduced cost {j}");
+        }
+        assert_eq!(got, expected, "entering column");
+        got
+    }
+
+    /// Runs `f` once per pricing kernel: (row-major, column-wise).
+    fn both_kernels<T>(f: impl Fn() -> T) -> (T, T) {
+        (f(), with_kernel(entering_columnwise, f))
+    }
+
+    /// Everything a solve reports, as bits.
+    type Bits = (u64, Vec<u64>, Vec<u64>, usize);
+
+    fn bits(s: &Solution) -> Bits {
+        (
+            s.objective().to_bits(),
+            s.values().iter().map(|v| v.to_bits()).collect(),
+            s.duals().iter().map(|v| v.to_bits()).collect(),
+            s.pivots(),
+        )
+    }
+
+    /// A random LP: `(direction is max, denominator, objective, rows of
+    /// (coeffs, relation 0/1/2 = Le/Ge/Eq, rhs), appended columns of
+    /// (objective, per-row coeffs))`, every number an integer over the
+    /// denominator. Small integers with frequent zero right-hand sides make
+    /// degenerate pivots and ties common; denominators 3 and 7 make pivots
+    /// round, so a changed summation order shows in the bits.
+    type RandomLp = (
+        bool,
+        i32,
+        Vec<i32>,
+        Vec<(Vec<i32>, usize, i32)>,
+        Vec<(i32, Vec<i32>)>,
+    );
+
+    fn random_lp() -> impl Strategy<Value = RandomLp> {
+        (1usize..7, 1usize..7).prop_flat_map(|(n, m)| {
+            let row = (
+                proptest::collection::vec(-3i32..=5, n),
+                0usize..3,
+                prop_oneof![Just(0i32), -4i32..=8],
+            );
+            let column = (-3i32..=6, proptest::collection::vec(-2i32..=4, m));
+            (
+                any::<bool>(),
+                prop_oneof![Just(1), Just(3), Just(7)],
+                proptest::collection::vec(-3i32..=6, n),
+                proptest::collection::vec(row, m),
+                proptest::collection::vec(column, 0..4),
+            )
+        })
+    }
+
+    fn build(lp: &RandomLp) -> Problem {
+        let (maximize, den, objective, rows, _) = lp;
+        let value = |k: i32| f64::from(k) / f64::from(*den);
+        let direction = if *maximize {
+            Direction::Maximize
+        } else {
+            Direction::Minimize
+        };
+        let mut p = Problem::new(direction);
+        let vars: Vec<_> = objective.iter().map(|&c| p.add_var("", value(c))).collect();
+        for (coeffs, relation, rhs) in rows {
+            let terms: Vec<_> = vars
+                .iter()
+                .zip(coeffs)
+                .map(|(&v, &a)| (v, value(a)))
+                .collect();
+            let relation = [Relation::Le, Relation::Ge, Relation::Eq][*relation];
+            p.add_constraint(&terms, relation, value(*rhs)).unwrap();
+        }
+        p
+    }
+
+    /// Solves `lp`, then (when it solved) appends its extra columns to a
+    /// warm [`IncrementalSolver`] and re-optimizes, recording every result.
+    fn run(lp: &RandomLp, options: SolverOptions) -> Vec<Result<Bits, SolveError>> {
+        let p = build(lp);
+        let mut out = vec![p.solve_with(options).map(|s| bits(&s))];
+        if let Ok(mut inc) = IncrementalSolver::new(&p, options) {
+            let value = |k: i32| f64::from(k) / f64::from(lp.1);
+            for (objective, coeffs) in &lp.4 {
+                let terms: Vec<_> = coeffs
+                    .iter()
+                    .enumerate()
+                    .map(|(r, &a)| (r, value(a)))
+                    .collect();
+                if inc.add_column("", value(*objective), &terms).is_err() {
+                    break; // phase 1 dropped a redundant row
+                }
+                out.push(inc.reoptimize().map(|()| bits(&inc.solution())));
+            }
+        }
+        out
+    }
+
+    /// Marshall and Suurballe's cycling example — it cycles under this
+    /// solver's Dantzig rule with lowest-index ratio ties, unlike Beale's —
+    /// with the objective scaled by `2^scale` (which scales every reduced
+    /// cost exactly and so leaves every pricing decision unchanged).
+    fn marshall_suurballe(scale: i32) -> Problem {
+        let mut p = Problem::new(Direction::Minimize);
+        let x: Vec<VarId> = [-10.0, 57.0, 9.0, 24.0]
+            .iter()
+            .map(|&c| p.add_var("", c * 2f64.powi(scale)))
+            .collect();
+        let rows: [([f64; 4], f64); 3] = [
+            ([0.5, -5.5, -2.5, 9.0], 0.0),
+            ([0.5, -1.5, -0.5, 1.0], 0.0),
+            ([1.0, 0.0, 0.0, 0.0], 1.0),
+        ];
+        for (coeffs, rhs) in rows {
+            let terms: Vec<_> = x.iter().zip(coeffs).map(|(&v, a)| (v, a)).collect();
+            p.add_constraint(&terms, Relation::Le, rhs).unwrap();
+        }
+        p
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(384))]
+
+        /// Row-major pricing reproduces the column-wise loop bit for bit:
+        /// every reduced cost, and the objective, primal, duals, pivot count
+        /// and error, under every pricing rule, for cold solves and warm
+        /// column appends.
+        #[test]
+        fn row_major_pricing_matches_columnwise(lp in random_lp(), rule in 0usize..3) {
+            let pricing = [Pricing::Auto, Pricing::Dantzig, Pricing::Bland][rule];
+            let options = SolverOptions {
+                pricing,
+                max_iterations: Some(400),
+                ..SolverOptions::default()
+            };
+            let (rows, cols) = both_kernels(|| run(&lp, options));
+            prop_assert_eq!(&rows, &cols);
+            prop_assert_eq!(with_kernel(entering_checked, || run(&lp, options)), rows);
+        }
+    }
+
+    /// Marshall–Suurballe instances cycle under Dantzig, so `Pricing::Auto`
+    /// runs into its Bland fallback; both kernels take the same path, and
+    /// pure Dantzig hits the same iteration limit.
+    #[test]
+    fn bland_fallback_path_is_kernel_independent() {
+        for scale in -8..=8 {
+            let p = marshall_suurballe(scale);
+            let dantzig = SolverOptions {
+                pricing: Pricing::Dantzig,
+                max_iterations: Some(200),
+                ..SolverOptions::default()
+            };
+            let (cycled, cycled_cols) = both_kernels(|| p.solve_with(dantzig).map(|s| bits(&s)));
+            assert_eq!(cycled, cycled_cols);
+            assert_eq!(cycled, Err(SolveError::IterationLimit { limit: 200 }));
+            let (rows, cols) = both_kernels(|| p.solve().map(|s| bits(&s)));
+            assert_eq!(rows, cols);
+            let pivots = rows.map(|b| b.3).unwrap_or(0);
+            assert!(
+                pivots > DEGENERATE_STREAK_LIMIT,
+                "solved in {pivots} pivots without the fallback"
+            );
+        }
     }
 
     #[test]

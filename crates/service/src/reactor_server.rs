@@ -282,6 +282,36 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_frame_does_not_take_the_daemon_down() {
+        let server = serve_reactor(ReactorServerConfig::default()).unwrap();
+        let addr = server.local_addr();
+        let mut stream = TcpStream::connect(addr).unwrap();
+        // ~200 KB of nested `[` in one frame, under the 1 MiB frame cap: it
+        // used to overflow a worker's stack and abort the whole process.
+        let mut deep = "[".repeat(200_000);
+        deep.push('\n');
+        stream.write_all(deep.as_bytes()).unwrap();
+        let mut reader = BufReader::new(stream);
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        let v: Value = serde_json::from_str(&line).unwrap();
+        assert_eq!(v["status"].as_str(), Some("error"), "{v}");
+        assert_eq!(v["error"]["code"].as_str(), Some("bad_request"), "{v}");
+        // The daemon keeps serving, on the same connection and on a new one.
+        let request = format!(r#"{{"query": "available_bandwidth", {RELAY}, "path": [0,1]}}"#);
+        let mut stream = reader.into_inner();
+        stream.write_all(format!("{request}\n").as_bytes()).unwrap();
+        let mut reader = BufReader::new(stream);
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+        let v: Value = serde_json::from_str(&line).unwrap();
+        assert_eq!(v["status"].as_str(), Some("ok"), "{v}");
+        let v: Value = serde_json::from_str(&query_once(addr, &request).unwrap()).unwrap();
+        assert_eq!(v["status"].as_str(), Some("ok"), "{v}");
+        server.shutdown();
+    }
+
+    #[test]
     fn pipelined_requests_answer_in_order() {
         let server = serve_reactor(ReactorServerConfig::default()).unwrap();
         let addr = server.local_addr();

@@ -365,6 +365,22 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_frame_is_a_bad_request() {
+        let engine = Engine::new(EngineConfig::default());
+        // ~200 KB of `[`: without the parser's depth cap this recursed once
+        // per byte and overflowed the thread's stack.
+        let deep = "[".repeat(200_000);
+        let response: Value = serde_json::from_str(&handle_line(&engine, &deep)).unwrap();
+        assert_eq!(response["status"].as_str(), Some("error"));
+        assert_eq!(response["error"]["code"].as_str(), Some("bad_request"));
+        assert!(response["id"].is_null());
+        // The same engine still answers a well-formed request.
+        let line = format!(r#"{{"query": "available_bandwidth", {RELAY}, "path": [0,1]}}"#);
+        let response: Value = serde_json::from_str(&handle_line(&engine, &line)).unwrap();
+        assert_eq!(response["status"].as_str(), Some("ok"), "{response}");
+    }
+
+    #[test]
     fn deadline_zero_is_rejected_structurally() {
         let engine = Engine::new(EngineConfig::default());
         let line = format!(

@@ -269,15 +269,21 @@ fn lift_to_max_rates<M: LinkRateModel>(
 /// first, matching the old keep-first semantics). Each set is therefore
 /// checked against the *kept* prefix only; domination is transitive, so a
 /// dominator that was itself dropped is covered by whatever dropped it.
+///
+/// Domination needs the candidate's links to be a subset of the kept set's,
+/// so each set carries a one-word membership mask (link index folded mod
+/// 64) and most kept sets are rejected by a single `AND` before the
+/// per-couple rate walk. Folding keeps the test a necessary condition for
+/// universes of any width: a subset's folded mask is always a submask.
 fn pareto_filter(sets: Vec<RatedSet>) -> Vec<RatedSet> {
     if sets.len() <= 1 {
         return sets;
     }
-    let score: Vec<(usize, f64)> = sets
+    let score: Vec<(usize, f64, u64)> = sets
         .iter()
         .map(|s| {
             let sum: f64 = s.couples().iter().map(|&(_, r)| r.as_mbps()).sum();
-            (s.len(), sum)
+            (s.len(), sum, link_mask(s))
         })
         .collect();
     let mut order: Vec<usize> = (0..sets.len()).collect();
@@ -289,17 +295,29 @@ fn pareto_filter(sets: Vec<RatedSet>) -> Vec<RatedSet> {
             .then_with(|| i.cmp(&j))
     });
     let mut keep = vec![false; sets.len()];
-    let mut kept: Vec<usize> = Vec::new();
+    // Kept sets with their masks, contiguous for the inner scan.
+    let mut kept: Vec<(u64, usize)> = Vec::new();
     for &i in &order {
-        if !kept.iter().any(|&k| sets[k].dominates(&sets[i])) {
+        let mask = score[i].2;
+        if !kept
+            .iter()
+            .any(|&(km, k)| mask & !km == 0 && sets[k].dominates(&sets[i]))
+        {
             keep[i] = true;
-            kept.push(i);
+            kept.push((mask, i));
         }
     }
     sets.into_iter()
         .zip(keep)
         .filter_map(|(s, k)| k.then_some(s))
         .collect()
+}
+
+/// A set's links as one bit each, folded mod 64.
+fn link_mask(set: &RatedSet) -> u64 {
+    set.couples()
+        .iter()
+        .fold(0, |m, &(l, _)| m | (1u64 << (l.index() % 64)))
 }
 
 /// The paper's *maximal independent sets with maximum supported rates*
@@ -425,6 +443,7 @@ fn is_maximal<M: LinkRateModel>(
 mod tests {
     use super::*;
     use awb_net::{DeclarativeModel, Topology};
+    use proptest::strategy::Strategy;
 
     fn r(m: f64) -> Rate {
         Rate::from_mbps(m)
@@ -569,6 +588,57 @@ mod tests {
                 pareto.iter().any(|p| p == ms),
                 "maximal set {ms} missing from pareto pool"
             );
+        }
+    }
+
+    /// The reference keep-first filter: a set is dropped iff another set
+    /// dominates it, where of two identical sets the earlier one survives.
+    fn naive_pareto(sets: &[RatedSet]) -> Vec<RatedSet> {
+        sets.iter()
+            .enumerate()
+            .filter(|&(i, s)| {
+                !sets
+                    .iter()
+                    .enumerate()
+                    .any(|(j, o)| j != i && o.dominates(s) && (j < i || !s.dominates(o)))
+            })
+            .map(|(_, s)| s.clone())
+            .collect()
+    }
+
+    /// Random set families. Link ids are `base + 64 * lane`: a few bases
+    /// make subsets and dominations common, and the lanes spread the
+    /// universe past 64 ids so distinct links share a folded mask bit.
+    fn random_family() -> impl Strategy<Value = Vec<RatedSet>> {
+        let ladder = [6.0, 12.0, 24.0, 54.0];
+        (1usize..9, 1usize..5).prop_flat_map(move |(bases, lanes)| {
+            let couple = (0..bases, 0..lanes, 0..ladder.len());
+            let set = proptest::collection::vec(couple, 1..7);
+            proptest::collection::vec(set, 0..48).prop_map(move |family| {
+                family
+                    .into_iter()
+                    .map(|couples| {
+                        let mut seen = BTreeMap::new();
+                        for (b, lane, k) in couples {
+                            seen.entry(LinkId::from_index(b + 64 * lane))
+                                .or_insert(r(ladder[k]));
+                        }
+                        RatedSet::new(seen.into_iter().collect())
+                    })
+                    .collect()
+            })
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The mask-screened skyline sweep returns exactly the naive
+        /// keep-first filter's output, in the same order.
+        #[test]
+        fn pareto_filter_matches_naive_keep_first(family in random_family()) {
+            let expected = naive_pareto(&family);
+            proptest::prop_assert_eq!(pareto_filter(family), expected);
         }
     }
 
